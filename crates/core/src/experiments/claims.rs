@@ -3,6 +3,12 @@
 //! The paper claims five contributions. [`check_claims`] re-derives each
 //! one from freshly simulated data and reports pass/fail — the reproduction
 //! equivalent of an artifact-evaluation checklist.
+//!
+//! The checks come in three parts, each taking only what it needs, so a
+//! caller that already holds the studies does not simulate them again:
+//! [`leak_claims`] (claims 1–2) reads a [`LeakStudy`], [`lingering_claim`]
+//! (claim 3) a [`SupplementalStudy`], and [`scale_claims`] (claims 4–5)
+//! needs only the [`Scale`].
 
 use crate::casestudies::brian::track_devices;
 use crate::classify::NetworkClass;
@@ -58,132 +64,132 @@ impl ClaimsReport {
     }
 }
 
-/// Re-derive the paper's five §1 contributions at the given scale.
+/// Re-derive the paper's five §1 contributions at the given scale,
+/// simulating both studies. Each study is dropped before the next runs.
 pub fn check_claims(scale: &Scale) -> ClaimsReport {
-    let mut checks = Vec::new();
+    let mut checks = leak_claims(&LeakStudy::run(scale)).to_vec();
+    checks.push(lingering_claim(&SupplementalStudy::run(scale)));
+    checks.extend(scale_claims(scale));
+    ClaimsReport { checks }
+}
 
-    // Shared studies.
-    let leak = LeakStudy::run(scale);
-    let supplemental = SupplementalStudy::run(scale);
-
+/// Claims 1–2, from the §5 leak study: records name owners and devices,
+/// and networks of several types expose them.
+pub fn leak_claims(leak: &LeakStudy) -> [ClaimCheck; 2] {
     // Claim 1: DNS records contain unique identifiers in practice —
     // including device types and owner names.
-    {
-        let mut named = 0usize;
-        let mut named_with_device_term = 0usize;
-        for (_, host) in leak.observations() {
-            if match_given_names(host).is_empty() {
-                continue;
-            }
-            named += 1;
-            let terms = extract_terms(host);
-            if terms.iter().any(|t| DEVICE_TERMS.contains(&t.as_str())) {
-                named_with_device_term += 1;
-            }
+    let mut named = 0usize;
+    let mut named_with_device_term = 0usize;
+    for (_, host) in leak.observations() {
+        if match_given_names(host).is_empty() {
+            continue;
         }
-        checks.push(ClaimCheck {
-            id: 1,
-            claim: "records carry owner names and device models",
-            passed: named > 0 && named_with_device_term > 0,
-            evidence: format!(
-                "{named} name-bearing records, {named_with_device_term} also naming a device model"
-            ),
-        });
+        named += 1;
+        let terms = extract_terms(host);
+        if terms.iter().any(|t| DEVICE_TERMS.contains(&t.as_str())) {
+            named_with_device_term += 1;
+        }
     }
+    let identifiers = ClaimCheck {
+        id: 1,
+        claim: "records carry owner names and device models",
+        passed: named > 0 && named_with_device_term > 0,
+        evidence: format!(
+            "{named} name-bearing records, {named_with_device_term} also naming a device model"
+        ),
+    };
 
     // Claim 2: networks of varying types expose such information.
-    {
-        let breakdown = fig4(&leak);
-        let classes_with_hits = [
-            NetworkClass::Academic,
-            NetworkClass::Isp,
-            NetworkClass::Enterprise,
-            NetworkClass::Government,
-            NetworkClass::Other,
-        ]
-        .iter()
-        .filter(|c| breakdown.count(**c) > 0)
-        .count();
-        checks.push(ClaimCheck {
-            id: 2,
-            claim: "academic, enterprise and ISP networks all expose it",
-            passed: classes_with_hits >= 3,
-            evidence: format!(
-                "{} identified networks across {classes_with_hits} classes",
-                breakdown.total()
-            ),
-        });
-    }
+    let breakdown = fig4(leak);
+    let classes_with_hits = [
+        NetworkClass::Academic,
+        NetworkClass::Isp,
+        NetworkClass::Enterprise,
+        NetworkClass::Government,
+        NetworkClass::Other,
+    ]
+    .iter()
+    .filter(|c| breakdown.count(**c) > 0)
+    .count();
+    let network_types = ClaimCheck {
+        id: 2,
+        claim: "academic, enterprise and ISP networks all expose it",
+        passed: classes_with_hits >= 3,
+        evidence: format!(
+            "{} identified networks across {classes_with_hits} classes",
+            breakdown.total()
+        ),
+    };
+    [identifiers, network_types]
+}
 
-    // Claim 3: record presence tracks client presence (≈1 h lingering).
-    {
-        let delays = RemovalDelays::from_groups(&supplemental.groups);
-        let within = delays.cdf_at(65.0);
-        checks.push(ClaimCheck {
-            id: 3,
-            claim: "records linger at most ~an hour after departure",
-            passed: delays.len() > 10 && within > 0.75,
-            evidence: format!(
-                "{} reliable groups, {:.1}% removed within ~an hour",
-                delays.len(),
-                within * 100.0
-            ),
-        });
+/// Claim 3, from the §6 supplemental campaign: record presence tracks
+/// client presence (≈1 h lingering).
+pub fn lingering_claim(supplemental: &SupplementalStudy) -> ClaimCheck {
+    let delays = RemovalDelays::from_groups(&supplemental.groups);
+    let within = delays.cdf_at(65.0);
+    ClaimCheck {
+        id: 3,
+        claim: "records linger at most ~an hour after departure",
+        passed: delays.len() > 10 && within > 0.75,
+        evidence: format!(
+            "{} reliable groups, {:.1}% removed within ~an hour",
+            delays.len(),
+            within * 100.0
+        ),
     }
+}
 
+/// Claims 4–5, which need no shared study: claim 4 simulates its own
+/// 7-day Academic-A week, claim 5 checks the label policies directly.
+pub fn scale_claims(scale: &Scale) -> [ClaimCheck; 2] {
     // Claim 4: outsiders can track specific clients and learn dynamics.
-    {
-        let from = Date::from_ymd(2021, 11, 15);
-        let mut world = World::new(WorldConfig {
-            seed: scale.seed,
-            shards: 0,
-            start: from,
-            networks: vec![presets::academic_a(scale.focus_scale)],
-        });
-        let run = run_supplemental(
-            &mut world,
-            &["Academic-A"],
-            from,
-            7,
-            FaultMix::realistic(),
-            scale.seed,
-        );
-        let timeline = track_devices(&run.log, "brian");
-        let tracked_days: usize = timeline
-            .hosts
-            .iter()
-            .map(|h| timeline.active_days(h).len())
-            .sum();
-        checks.push(ClaimCheck {
-            id: 4,
-            claim: "specific clients are trackable from outside",
-            passed: !timeline.hosts.is_empty() && tracked_days >= 5,
-            evidence: format!(
-                "{} brian-named devices tracked over {tracked_days} device-days",
-                timeline.hosts.len()
-            ),
-        });
-    }
+    let from = Date::from_ymd(2021, 11, 15);
+    let mut world = World::new(WorldConfig {
+        seed: scale.seed,
+        shards: 0,
+        start: from,
+        networks: vec![presets::academic_a(scale.focus_scale)],
+    });
+    let run = run_supplemental(
+        &mut world,
+        &["Academic-A"],
+        from,
+        7,
+        FaultMix::realistic(),
+        scale.seed,
+    );
+    let timeline = track_devices(&run.log, "brian");
+    let tracked_days: usize = timeline
+        .hosts
+        .iter()
+        .map(|h| timeline.active_days(h).len())
+        .sum();
+    let tracking = ClaimCheck {
+        id: 4,
+        claim: "specific clients are trackable from outside",
+        passed: !timeline.hosts.is_empty() && tracked_days >= 5,
+        evidence: format!(
+            "{} brian-named devices tracked over {tracked_days} device-days",
+            timeline.hosts.len()
+        ),
+    };
 
     // Claim 5: causes identified and mitigations available — hashed labels
     // defeat name matching on otherwise identical infrastructure.
-    {
-        let hashed = rdns_ipam::hashed_label(rdns_dhcp::MacAddr::from_seed(1), scale.seed);
-        let sanitized = rdns_ipam::sanitize_label("Brian's iPhone");
-        let leak_defeated = !hashed.contains("brian")
-            && sanitized.as_deref() == Some("brians-iphone");
-        checks.push(ClaimCheck {
-            id: 5,
-            claim: "cause is Host-Name carry-over; hashing mitigates",
-            passed: leak_defeated,
-            evidence: format!(
-                "carry-over yields {:?}, hashed policy yields {hashed:?}",
-                sanitized.unwrap_or_default()
-            ),
-        });
-    }
-
-    ClaimsReport { checks }
+    let hashed = rdns_ipam::hashed_label(rdns_dhcp::MacAddr::from_seed(1), scale.seed);
+    let sanitized = rdns_ipam::sanitize_label("Brian's iPhone");
+    let leak_defeated = !hashed.contains("brian") && sanitized.as_deref() == Some("brians-iphone");
+    let mitigation = ClaimCheck {
+        id: 5,
+        claim: "cause is Host-Name carry-over; hashing mitigates",
+        passed: leak_defeated,
+        evidence: format!(
+            "carry-over yields {:?}, hashed policy yields {hashed:?}",
+            sanitized.unwrap_or_default()
+        ),
+    };
+    [tracking, mitigation]
 }
 
 #[cfg(test)]
@@ -193,7 +199,8 @@ mod tests {
     #[test]
     fn all_five_claims_hold_at_tiny_scale() {
         let report = check_claims(&Scale::tiny());
-        assert_eq!(report.checks.len(), 5);
+        let ids: Vec<u8> = report.checks.iter().map(|c| c.id).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5]);
         for c in &report.checks {
             assert!(c.passed, "claim {} failed: {}", c.id, c.evidence);
         }

@@ -18,7 +18,7 @@ pub mod section6;
 pub mod section7;
 
 pub use ablation::{lease_ablation, release_ablation, Ablation};
-pub use claims::{check_claims, ClaimsReport};
+pub use claims::{check_claims, leak_claims, lingering_claim, scale_claims, ClaimCheck, ClaimsReport};
 pub use datasets::table1;
 pub use harness::{collect_series, run_supplemental, SupplementalRun};
 pub use population::{generate_population, PopulationConfig};

@@ -3,8 +3,11 @@
 use crate::casestudies::brian::{track_devices, DeviceTimeline};
 use crate::casestudies::heist::{hourly_activity, quietest_hour, HourlyActivity};
 use crate::casestudies::wfh::{percent_of_max_columnar, NormalizedSeries};
-use crate::experiments::harness::{collect_dual_series, run_supplemental, FaultMix};
+use crate::experiments::harness::{
+    collect_dual_series, collect_series, run_supplemental, FaultMix,
+};
 use crate::experiments::Scale;
+use rdns_data::Cadence;
 use rdns_model::{Date, Ipv4Net};
 use rdns_netsim::spec::presets;
 use rdns_netsim::{BuildingTag, World, WorldConfig};
@@ -142,7 +145,7 @@ pub fn fig9(scale: &Scale, from: Date, to: Date) -> Fig9 {
         start: from,
         networks: specs,
     });
-    let (daily, _) = collect_dual_series(&mut world, from, to);
+    let daily = collect_series(&mut world, from, to, Cadence::Daily);
     // One shared columnar view serves all five per-network scans.
     let columnar = rdns_data::ColumnarSeries::from_series(&daily);
     Fig9 {
@@ -231,14 +234,9 @@ pub fn fig10(scale: &Scale, weekly_from: Date, daily_from: Date, to: Date) -> Fi
         start: weekly_from,
         networks: vec![spec],
     });
-    let (all_daily, weekly) = collect_dual_series(&mut world, weekly_from, to);
+    let (mut daily, weekly) = collect_dual_series(&mut world, weekly_from, to);
     // The daily (OpenINTEL-like) view only exists from `daily_from`.
-    let mut daily = rdns_data::SnapshotSeries::new(rdns_data::Cadence::Daily);
-    for s in &all_daily.snapshots {
-        if s.date >= daily_from {
-            daily.push(s.clone());
-        }
-    }
+    daily.snapshots.retain(|s| s.date >= daily_from);
     let daily_col = rdns_data::ColumnarSeries::from_series(&daily);
     let weekly_col = rdns_data::ColumnarSeries::from_series(&weekly);
     Fig10 {
